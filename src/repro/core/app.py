@@ -187,9 +187,14 @@ class EnviroTrackApp:
         return self.agents[node_id]
 
     def leaders(self, context_type: str) -> Dict[int, str]:
-        """node id → led label, across the deployment."""
+        """node id → led label, across the live motes of the deployment.
+
+        A dead mote's RAM can still say LEADER; it leads nothing.
+        """
         result = {}
         for node_id, agent in self.agents.items():
+            if not agent.mote.alive:
+                continue
             if context_type in agent.context_types():
                 label = agent.groups.label(context_type)
                 if label is not None and agent.groups.is_leading(

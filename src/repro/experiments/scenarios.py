@@ -240,9 +240,8 @@ def run_tank_scenario(scenario: TankScenario) -> TankRunResult:
 
 
 def _kill_current_leader(app: EnviroTrackApp) -> None:
-    """Failure injection: crash whichever node currently leads the tank's
+    """Failure injection: crash the lowest-id live leader of the tank's
     label (the Figure 5 'current leader fails' worst case)."""
-    for node_id, agent in app.agents.items():
-        if agent.groups.is_leading("tracker"):
-            app.field.fail_node(node_id)
-            return
+    leaders = app.leaders("tracker")
+    if leaders:
+        app.field.fail_node(min(leaders))

@@ -20,9 +20,10 @@ spawned duplicate — an unsuccessful one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..sim import Simulator
+from .leadership import leader_tenures
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,6 @@ class HandoverStats:
     claims: int
     yields: int
     suppressions: int
-    leader_starts: List[Tuple[float, str, str]]  # (time, label, via)
     #: Cumulative time each label spent with some leader serving it.
     label_led_time: Dict[str, float]
     #: Led time below which a created label counts as suppressed noise.
@@ -77,8 +77,10 @@ class HandoverStats:
         """Single-group abstraction maintained for the whole run."""
         return len(self.effective_labels()) <= 1
 
-    def distinct_leading_labels(self) -> List[str]:
-        return sorted({label for _, label, _ in self.leader_starts})
+
+#: Trace categories :func:`analyze_handovers` counts per context type.
+_COUNTED = ("gm.label_created", "gm.takeover", "gm.claim", "gm.yield",
+            "gm.label_deleted")
 
 
 def analyze_handovers(sim: Simulator, context_type: str,
@@ -89,75 +91,45 @@ def analyze_handovers(sim: Simulator, context_type: str,
     effective; set it to a few heartbeat periods (suppression of an entry
     race completes within roughly one period).
     """
-    labels_created = 0
-    takeovers = 0
-    claims = 0
-    yields = 0
-    suppressions = 0
-    leader_starts: List[Tuple[float, str, str]] = []
-    open_tenures: Dict[Tuple[Optional[int], str], float] = {}
+    counts = dict.fromkeys(_COUNTED, 0)
     led_time: Dict[str, float] = {}
     for rec in sim.trace:
-        detail_type = rec.detail.get("type")
-        if detail_type != context_type:
-            continue
-        label = rec.detail.get("label", "")
-        if rec.category == "gm.label_created":
-            labels_created += 1
-            led_time.setdefault(label, 0.0)
-        elif rec.category == "gm.takeover":
-            takeovers += 1
-        elif rec.category == "gm.claim":
-            claims += 1
-        elif rec.category == "gm.yield":
-            yields += 1
-        elif rec.category == "gm.label_deleted":
-            suppressions += 1
-        elif rec.category == "gm.leader_start":
-            leader_starts.append((rec.time, label,
-                                  rec.detail.get("via", "")))
-            open_tenures[(rec.node, label)] = rec.time
-        elif rec.category == "gm.leader_stop":
-            begin = open_tenures.pop((rec.node, label), None)
-            if begin is not None:
-                led_time[label] = led_time.get(label, 0.0) \
-                    + (rec.time - begin)
-    for (_, label), begin in open_tenures.items():
-        led_time[label] = led_time.get(label, 0.0) + (sim.now - begin)
-    return HandoverStats(labels_created=labels_created,
-                         takeovers=takeovers, claims=claims, yields=yields,
-                         suppressions=suppressions,
-                         leader_starts=leader_starts,
+        if rec.category in counts \
+                and rec.detail.get("type") == context_type:
+            counts[rec.category] += 1
+            if rec.category == "gm.label_created":
+                led_time.setdefault(rec.detail.get("label", ""), 0.0)
+    for tenure in leader_tenures(sim.trace, context_type, sim.now):
+        led_time[tenure.label] = led_time.get(tenure.label, 0.0) \
+            + (tenure.end - tenure.start)
+    return HandoverStats(labels_created=counts["gm.label_created"],
+                         takeovers=counts["gm.takeover"],
+                         claims=counts["gm.claim"],
+                         yields=counts["gm.yield"],
+                         suppressions=counts["gm.label_deleted"],
                          label_led_time=led_time, grace=grace)
 
 
 def handoff_latencies(sim: Simulator, context_type: str
                       ) -> List[float]:
-    """Per-handover gap between one leader stopping and the next leader
-    starting on the *same label* (seconds; 0 when the successor started
-    first, as during yields).
+    """Per-handover gap between a label's last open tenure closing and
+    its next tenure starting (seconds).
 
-    Relinquish handoffs complete in a claim window; takeover handoffs in
-    roughly the receive timeout — this is the latency that bounds the max
-    trackable speed in §6.2.
+    A successor that started while another tenure of the label was still
+    open (as during yields) leaves no gap, so it adds no entry.  A
+    crashed leader's tenure closes at its ``node.fail``.  Relinquish
+    handoffs complete in a claim window; takeover handoffs in roughly the
+    receive timeout — this is the latency that bounds the max trackable
+    speed in §6.2.
     """
-    active: Dict[str, int] = {}
-    vacant_since: Dict[str, float] = {}
+    last_end: Dict[str, float] = {}
     latencies: List[float] = []
-    for rec in sim.trace:
-        if rec.detail.get("type") != context_type:
-            continue
-        label = rec.detail.get("label", "")
-        if rec.category == "gm.leader_start":
-            if label in vacant_since:
-                latencies.append(rec.time - vacant_since.pop(label))
-            active[label] = active.get(label, 0) + 1
-        elif rec.category == "gm.leader_stop":
-            count = active.get(label, 0) - 1
-            active[label] = max(0, count)
-            if count <= 0:
-                # The label is now leaderless: the handoff gap starts.
-                vacant_since[label] = rec.time
+    tenures = leader_tenures(sim.trace, context_type, sim.now)
+    for tenure in sorted(tenures, key=lambda t: t.start):
+        closed = last_end.get(tenure.label)
+        if closed is not None and tenure.start >= closed:
+            latencies.append(tenure.start - closed)
+        last_end[tenure.label] = max(tenure.end, closed or 0.0)
     return latencies
 
 
@@ -167,26 +139,14 @@ def tracking_coverage(sim: Simulator, context_type: str,
     """Fraction of [start, end] during which *some* leader served the
     target, judged by gaps between leader tenures.
 
-    A leader tenure runs from its ``gm.leader_start`` to the matching
-    ``gm.leader_stop`` (or the end of the run).  Coverage below 1.0 means
-    the entity went unrepresented — e.g. it escaped during a takeover.
+    Coverage below 1.0 means the entity went unrepresented — e.g. it
+    escaped during a takeover, or its leader crashed.
     """
     if end <= start:
         raise ValueError(f"empty interval [{start}, {end}]")
-    intervals: List[Tuple[float, float]] = []
-    open_starts: dict = {}
-    for rec in sim.trace:
-        if rec.detail.get("type") != context_type:
-            continue
-        key = (rec.node, rec.detail.get("label"))
-        if rec.category == "gm.leader_start":
-            open_starts[key] = rec.time
-        elif rec.category == "gm.leader_stop" and key in open_starts:
-            intervals.append((open_starts.pop(key), rec.time))
-    for begin in open_starts.values():
-        intervals.append((begin, end))
-    clipped = [(max(lo, start), min(hi, end)) for lo, hi in intervals
-               if min(hi, end) > max(lo, start)]
+    clipped = [(max(t.start, start), min(t.end, end))
+               for t in leader_tenures(sim.trace, context_type, sim.now)
+               if min(t.end, end) > max(t.start, start)]
     if not clipped:
         return 0.0
     clipped.sort()

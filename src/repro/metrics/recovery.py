@@ -14,17 +14,18 @@ records into per-crash recovery measurements:
   leaders of the crashed label, the failure mode the takeover probes
   exist to suppress.
 
-Leadership tenures come from ``gm.leader_start``/``gm.leader_stop``;
-since a dying leader emits no stop record, ``node.fail`` closes all of
-the victim's open tenures.
+Leadership tenures come from the leadership ledger
+(:mod:`repro.metrics.leadership`), which closes a crashed leader's
+tenures at its ``node.fail``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..sim import Simulator
+from .leadership import Tenure, leader_tenures
 
 
 @dataclass(frozen=True)
@@ -113,39 +114,8 @@ def _quantile(values: List[float], q: float) -> Optional[float]:
     return ordered[index]
 
 
-def _leadership_intervals(sim: Simulator, context_type: str
-                          ) -> List[Tuple[float, float, int, str]]:
-    """(start, end, node, label) tenures of live leaders of the type."""
-    open_tenures: Dict[Tuple[int, str], float] = {}
-    intervals: List[Tuple[float, float, int, str]] = []
-
-    def close(key: Tuple[int, str], when: float) -> None:
-        begin = open_tenures.pop(key, None)
-        if begin is not None and when > begin:
-            intervals.append((begin, when, key[0], key[1]))
-
-    for rec in sim.trace:
-        if rec.category == "node.fail":
-            for key in [k for k in open_tenures if k[0] == rec.node]:
-                close(key, rec.time)
-            continue
-        if rec.detail.get("type") != context_type:
-            continue
-        label = rec.detail.get("label")
-        if label is None or rec.node is None:
-            continue
-        key = (rec.node, label)
-        if rec.category == "gm.leader_start":
-            open_tenures[key] = rec.time
-        elif rec.category == "gm.leader_stop":
-            close(key, rec.time)
-    for key in list(open_tenures):
-        close(key, sim.now)
-    return intervals
-
-
-def _count_steps(intervals: List[Tuple[float, float, int, str]],
-                 label: str, start: float, end: float
+def _count_steps(tenures: List[Tenure], label: str,
+                 start: float, end: float
                  ) -> List[Tuple[float, int]]:
     """Piecewise-constant live-leader count of ``label`` over [start, end].
 
@@ -153,7 +123,7 @@ def _count_steps(intervals: List[Tuple[float, float, int, str]],
     """
     deltas: List[Tuple[float, int]] = []
     base = 0
-    for lo, hi, _node, tenure_label in intervals:
+    for _node, tenure_label, lo, hi in tenures:
         if tenure_label != label:
             continue
         lo_clip, hi_clip = max(lo, start), min(hi, end)
@@ -191,7 +161,7 @@ def analyze_recovery(sim: Simulator, context_type: str,
     crashes = [rec for rec in sim.trace
                if rec.category == "fault.leader_crash"
                and rec.detail.get("type") == context_type]
-    intervals = _leadership_intervals(sim, context_type)
+    tenures = leader_tenures(sim.trace, context_type, sim.now)
     results: List[CrashRecovery] = []
     for index, crash in enumerate(crashes):
         window_end = (crashes[index + 1].time
@@ -199,7 +169,7 @@ def analyze_recovery(sim: Simulator, context_type: str,
         label = crash.detail.get("label")
         if label is None or window_end <= crash.time:
             continue
-        steps = _count_steps(intervals, label, crash.time, window_end)
+        steps = _count_steps(tenures, label, crash.time, window_end)
         recovery_at: Optional[float] = None
         duplicate_time = 0.0
         final_count = 0

@@ -18,6 +18,22 @@ def test_repeated_leader_kills_do_not_break_coherence():
     result = run_tank_scenario(scenario)
     assert result.handovers.takeovers >= 2
     assert result.coherent
+    # Every kill finds a live leader: three crashes, three distinct nodes.
+    victims = [rec.node for rec in result.app.sim.trace
+               if rec.category == "node.fail"]
+    assert len(victims) == 3
+    assert len(set(victims)) == 3
+
+
+def test_killed_leaders_stop_leading():
+    """A crashed leader's tenure ends at its ``node.fail``: led time fits
+    in the run and the three kills leave visible coverage holes."""
+    scenario = TankScenario(seed=12, leader_kill_times=(12.0, 20.0, 28.0))
+    result = run_tank_scenario(scenario)
+    (led,) = result.handovers.label_led_time.values()
+    assert led < scenario.duration
+    assert 0.99 <= result.coverage < 1.0
+    assert result.coherent
 
 
 def test_radio_blackout_and_recovery():

@@ -4,7 +4,9 @@ import pytest
 
 from repro.experiments import (SPEED_33_KMH, SPEED_50_KMH, TankScenario,
                                run_tank_scenario)
+from repro.experiments.chaos import TAKEOVER_SLACK
 from repro.lang import compile_source
+from repro.metrics import handoff_latencies
 from repro.core import EnviroTrackApp
 from repro.sensing import LineTrajectory, Target
 
@@ -64,6 +66,18 @@ class TestStressClaims:
         result = run_tank_scenario(scenario)
         assert result.handovers.takeovers >= 1
         assert result.coherent
+
+    def test_leader_kill_takeover_gap_is_reported(self):
+        """The gap after a crash runs from the victim's ``node.fail`` to
+        its successor's start, within the §5.2 takeover bound."""
+        scenario = TankScenario(seed=12, leader_kill_times=(30.0,))
+        sim = run_tank_scenario(scenario).app.sim
+        successor = min(rec.time for rec in sim.trace
+                        if rec.category == "gm.leader_start"
+                        and rec.time > 30.0)
+        gap = successor - 30.0
+        assert gap in handoff_latencies(sim, "tracker")
+        assert gap <= 2.1 * scenario.heartbeat_period + TAKEOVER_SLACK
 
 
 class TestDslPipeline:

@@ -6,19 +6,6 @@ from repro.metrics import analyze_handovers, tracking_coverage
 from repro.sim import Simulator
 
 
-def record(sim, t, category, node=0, **detail):
-    detail.setdefault("type", "tracker")
-    sim.schedule_at(t, lambda: sim.record(category, node=node, **detail))
-
-
-def run_trace(events, until=100.0):
-    sim = Simulator()
-    for event in events:
-        record(sim, *event[:2], **event[2]) if False else None
-    sim.run(until=until)
-    return sim
-
-
 def build_sim(events, until=100.0):
     sim = Simulator()
     for t, category, detail in events:

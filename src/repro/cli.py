@@ -119,6 +119,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def validate_args(parser: argparse.ArgumentParser, args) -> None:
+    """Reject bad option values before any simulation runs.
+
+    Exits through ``parser.error`` (status 2), so a typo costs nothing
+    instead of failing after minutes of simulation.
+    """
+    if args.jobs < 0:
+        parser.error(f"--jobs must be >= 0 (0 = one per core): {args.jobs}")
+    if args.repetitions is not None and args.repetitions < 1:
+        parser.error(f"--repetitions must be >= 1: {args.repetitions}")
+    for option, path in (("--svg", args.svg), ("--trace-out", args.trace_out),
+                         ("--prom", args.prom)):
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            parser.error(f"{option}: directory {parent!r} does not exist")
+
+
 def _sweep_kwargs(args, trace_out: Optional[str]) -> dict:
     """Common knobs for the sweep experiments (everything but figure3)."""
     kwargs = {"quick": args.quick, "jobs": args.jobs,
@@ -325,7 +344,9 @@ def _run_report(args, out: Callable[[str], None]) -> int:
 
 
 def main(argv=None, out: Callable[[str], None] = print) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    validate_args(parser, args)
     if args.experiment == "compile":
         return _run_compile(args, out)
     if args.experiment == "bench":

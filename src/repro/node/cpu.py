@@ -13,7 +13,6 @@ relinquish) run late, and tracking breaks exactly as in the paper.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Deque, Optional
 
 from ..sim import Simulator
@@ -26,14 +25,17 @@ DEFAULT_TASK_COST = 0.001
 DEFAULT_QUEUE_LIMIT = 64
 
 
-@dataclass
 class _Task:
-    fn: Callable[..., Any]
-    args: tuple
-    kwargs: dict
-    cost: float
-    label: str
-    posted_at: float
+    __slots__ = ("fn", "args", "kwargs", "cost", "label", "posted_at")
+
+    def __init__(self, fn: Callable[..., Any], args: tuple, kwargs: dict,
+                 cost: float, label: str, posted_at: float) -> None:
+        self.fn = fn
+        self.args = args
+        self.kwargs = kwargs
+        self.cost = cost
+        self.label = label
+        self.posted_at = posted_at
 
 
 class Cpu:
@@ -108,9 +110,9 @@ class Cpu:
         """
         if not self.enabled:
             return False
-        task = _Task(fn=fn, args=args, kwargs=kwargs,
-                     cost=self.task_cost if cost is None else cost,
-                     label=label, posted_at=self.sim.now)
+        task = _Task(fn, args, kwargs,
+                     self.task_cost if cost is None else cost,
+                     label, self.sim.now)
         if self._busy:
             if len(self._queue) >= self.queue_limit:
                 self.dropped += 1

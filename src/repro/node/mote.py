@@ -170,9 +170,10 @@ class Mote:
                  initial_delay: Optional[float] = None,
                  cost: Optional[float] = None) -> PeriodicTimer:
         """A periodic timer whose callback is executed on this mote's CPU."""
+        task_label = f"timer.{label}"
         timer = PeriodicTimer(
             self.sim, period * self.clock_scale,
-            lambda: self._timer_fire(callback, cost, label),
+            lambda: self._timer_fire(callback, cost, task_label),
             label=f"{label}@{self.node_id}",
             initial_delay=(None if initial_delay is None
                            else initial_delay * self.clock_scale))
@@ -183,9 +184,10 @@ class Mote:
                  label: str = "watchdog",
                  cost: Optional[float] = None) -> WatchdogTimer:
         """A watchdog whose expiry handler runs on this mote's CPU."""
+        task_label = f"timer.{label}"
         timer = WatchdogTimer(
             self.sim, timeout * self.clock_scale,
-            lambda: self._timer_fire(callback, cost, label),
+            lambda: self._timer_fire(callback, cost, task_label),
             label=f"{label}@{self.node_id}")
         self._timers.append(timer)
         return timer
@@ -196,18 +198,20 @@ class Mote:
         """An unarmed one-shot timer; arm with ``start(delay)``.  The
         callback runs on this mote's CPU."""
         from ..sim import OneShotTimer
+        task_label = f"timer.{label}"
         timer = OneShotTimer(
             self.sim,
-            lambda: self._timer_fire(callback, cost, label),
+            lambda: self._timer_fire(callback, cost, task_label),
             label=f"{label}@{self.node_id}")
         self._timers.append(timer)
         return timer
 
     def _timer_fire(self, callback: Callable[[], None],
-                    cost: Optional[float], label: str) -> None:
+                    cost: Optional[float], task_label: str) -> None:
+        """Post a timer's callback to the CPU as task ``task_label``."""
         if not self.alive:
             return
-        self.cpu.post(callback, cost=cost, label=f"timer.{label}")
+        self.cpu.post(callback, cost=cost, label=task_label)
 
     # ------------------------------------------------------------------
     # Failure injection

@@ -39,14 +39,16 @@ Example
 from __future__ import annotations
 
 import heapq
+import itertools
 import time as _time
 from collections import deque
-from typing import Any, Callable, Deque, Iterable, List, Optional
+from functools import partial
+from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
 from ..telemetry.profiler import EventLoopProfiler
 from ..telemetry.registry import MetricsRegistry, NullRegistry
 from ..telemetry.spans import NullSpanTracker, SpanTracker
-from .events import Event, EventSequencer, TraceRecord
+from .events import Event, TraceRecord
 from .rng import RandomStreams
 
 #: Supported scheduler strategies.  ``"lazy"`` (default) is the
@@ -59,6 +61,14 @@ DEFAULT_COMPACT_RATIO = 0.5
 #: …but never bother below this many cancelled entries.
 DEFAULT_COMPACT_MIN = 64
 
+#: One heap entry: ``(time, seq, event)``.  ``seq`` is unique, so heap
+#: comparisons never fall through to the event.
+HeapEntry = Tuple[float, int, Event]
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+_INF = float("inf")
+
 
 class SimulationError(RuntimeError):
     """Raised for invalid scheduling requests (e.g. scheduling in the past)."""
@@ -68,11 +78,12 @@ class TimerHandle:
     """One re-armable timer slot owned by :class:`TimerService`.
 
     A handle owns **at most one** heap entry at a time (``event``).  Its
-    authoritative firing point is ``(deadline, seq)``; the heap entry's
-    ``(time, seq)`` may lag behind after in-place re-arms.  The engine
-    reconciles on pop: an entry that is no longer ``handle.event`` is
-    stale garbage; an entry whose ``(time, seq)`` trails the handle's is
-    re-pushed at the true deadline; a matching entry fires.
+    authoritative firing point is ``(deadline, seq)``; the heap key of its
+    entry (mirrored in ``event.time``/``event.seq``) may lag behind after
+    in-place re-arms.  The engine reconciles on pop: an entry that is no
+    longer ``handle.event`` is stale garbage; an entry whose key trails
+    the handle's is re-pushed under the true ``(deadline, seq)``; a
+    matching entry fires.
 
     Every re-arm consumes one sequence number — exactly like the
     cancel-and-reschedule it replaces — so tie-breaking, and therefore
@@ -92,6 +103,14 @@ class TimerHandle:
     @property
     def armed(self) -> bool:
         return self.event is not None
+
+
+def _catch_up(event: Event, handle: TimerHandle) -> HeapEntry:
+    """Move a deferred timer entry to its handle's true key."""
+    event.time = deadline = handle.deadline
+    event.seq = seq = handle.seq
+    event.span = handle.span
+    return (deadline, seq, event)
 
 
 class TimerService:
@@ -126,8 +145,9 @@ class TimerService:
             return
         deadline = sim._now + delay
         spans = sim._live_spans
+        seq = sim._next_seq()
         handle.deadline = deadline
-        handle.seq = sim._seq.next()
+        handle.seq = seq
         handle.span = None if spans is None else spans.current
         entry = handle.event
         if entry is not None and entry.time <= deadline:
@@ -139,11 +159,10 @@ class TimerService:
             # ever catch up — abandon it and push a fresh one.
             handle.event = None
             sim._note_cancelled()
-        event = Event(time=deadline, seq=handle.seq,
-                      callback=handle.callback, label=handle.label,
-                      span=handle.span, handle=handle)
+        event = Event(deadline, seq, handle.callback, (), handle.label,
+                      handle.span, None, handle)
         handle.event = event
-        heapq.heappush(sim._heap, event)
+        _heappush(sim._heap, (deadline, seq, event))
         sim._live += 1
 
     def cancel(self, handle: TimerHandle) -> None:
@@ -210,8 +229,11 @@ class Simulator:
         self.compact_ratio = compact_ratio
         self.compact_min = max(1, compact_min)
         self._now = 0.0
-        self._heap: List[Event] = []
-        self._seq = EventSequencer()
+        #: ``(time, seq, event)`` entries; mutated in place only, since
+        #: ``run()`` holds a local alias to the list.
+        self._heap: List[HeapEntry] = []
+        #: Tie-breaking sequence numbers: one per schedule and per arm.
+        self._next_seq = itertools.count().__next__
         self._running = False
         self._stopped = False
         #: Scheduled, non-cancelled events (kept exact on every push,
@@ -298,8 +320,16 @@ class Simulator:
         if delay < 0:
             raise SimulationError(
                 f"cannot schedule {delay!r}s in the past (now={self._now})")
-        return self.schedule_at(self._now + delay, callback, *args,
-                                label=label, **kwargs)
+        if kwargs:
+            callback = partial(callback, **kwargs)
+        when = self._now + delay
+        seq = self._next_seq()
+        spans = self._live_spans
+        event = Event(when, seq, callback, args, label,
+                      None if spans is None else spans.current, self)
+        _heappush(self._heap, (when, seq, event))
+        self._live += 1
+        return event
 
     def schedule_at(self, when: float, callback: Callable[..., Any],
                     *args: Any, label: str = "", **kwargs: Any) -> Event:
@@ -307,12 +337,13 @@ class Simulator:
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at {when!r} before now={self._now}")
+        if kwargs:
+            callback = partial(callback, **kwargs)
+        seq = self._next_seq()
         spans = self._live_spans
-        event = Event(time=when, seq=self._seq.next(), callback=callback,
-                      args=args, kwargs=kwargs, label=label,
-                      span=None if spans is None else spans.current,
-                      owner=self)
-        heapq.heappush(self._heap, event)
+        event = Event(when, seq, callback, args, label,
+                      None if spans is None else spans.current, self)
+        _heappush(self._heap, (when, seq, event))
         self._live += 1
         return event
 
@@ -343,19 +374,19 @@ class Simulator:
         and therefore the trace — is identical with or without
         compaction.
         """
-        live: List[Event] = []
-        for event in self._heap:
+        heap = self._heap
+        live: List[HeapEntry] = []
+        for entry in heap:
+            event = entry[2]
             handle = event.handle
             if handle is not None:
                 if event is handle.event:
-                    event.time = handle.deadline
-                    event.seq = handle.seq
-                    event.span = handle.span
-                    live.append(event)
+                    live.append(_catch_up(event, handle))
             elif not event.cancelled:
-                live.append(event)
+                live.append(entry)
         heapq.heapify(live)
-        self._heap = live
+        # In place: a running ``run()`` holds ``heap`` as a local.
+        heap[:] = live
         self._cancelled = 0
         self.compactions += 1
         self._compactions_counter.inc()
@@ -374,28 +405,26 @@ class Simulator:
 
         Discards cancelled/stale heads, re-pushes timer entries whose
         handle's deadline moved later, and returns None at quiescence or
-        when the next firing lies strictly after ``until``.
+        when the next firing lies strictly after ``until``.  :meth:`run`
+        inlines the same loop.
         """
         heap = self._heap
         while heap:
-            event = heap[0]
-            if until is not None and event.time > until:
+            time, seq, event = heap[0]
+            if until is not None and time > until:
                 # A deferred timer entry's stale time only *understates*
                 # its true deadline, so crossing the horizon here is
                 # definitive for every entry kind.
                 return None
-            heapq.heappop(heap)
+            _heappop(heap)
             handle = event.handle
             if handle is not None:
                 if event is not handle.event:
                     self._cancelled -= 1  # stale slot: lazily discarded
                     continue
-                if event.time != handle.deadline or event.seq != handle.seq:
+                if time != handle.deadline or seq != handle.seq:
                     # Re-armed in place: catch up to the true deadline.
-                    event.time = handle.deadline
-                    event.seq = handle.seq
-                    event.span = handle.span
-                    heapq.heappush(heap, event)
+                    _heappush(heap, _catch_up(event, handle))
                     continue
                 handle.event = None  # fires now; callback may re-arm
             elif event.cancelled:
@@ -423,16 +452,46 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         self._stopped = False
+        # The loop below is :meth:`_pop_next` plus :meth:`_dispatch`,
+        # inlined: it is the simulator's innermost loop.
+        heap = self._heap
+        spans = self._live_spans
+        horizon = _INF if until is None else until
+        budget = _INF if max_events is None else max_events
         fired = 0
         try:
-            while not self._stopped:
-                if max_events is not None and fired >= max_events:
-                    break
-                event = self._pop_next(until)
-                if event is None:
-                    break
-                self._now = event.time
-                self._dispatch(event)
+            while heap and not self._stopped and fired < budget:
+                time, seq, event = heap[0]
+                if time > horizon:
+                    break  # see _pop_next: stale timer keys only understate
+                _heappop(heap)
+                handle = event.handle
+                if handle is not None:
+                    if event is not handle.event:
+                        self._cancelled -= 1
+                        continue
+                    if time != handle.deadline or seq != handle.seq:
+                        _heappush(heap, _catch_up(event, handle))
+                        continue
+                    handle.event = None
+                elif event.cancelled:
+                    self._cancelled -= 1
+                    continue
+                else:
+                    event.owner = None
+                self._live -= 1
+                self._now = time
+                if self._profiler is not None:
+                    self._dispatch(event)
+                elif spans is None:
+                    event.callback(*event.args)
+                else:
+                    previous = spans.current
+                    spans.current = event.span
+                    try:
+                        event.callback(*event.args)
+                    finally:
+                        spans.current = previous
                 self._events_fired += 1
                 fired += 1
             if until is not None and not self._stopped and self._now < until:
@@ -470,11 +529,11 @@ class Simulator:
         profiler = self._profiler
         if spans is None:
             if profiler is None:
-                event.fire()
+                event.callback(*event.args)
                 return
             started = _time.perf_counter()
             try:
-                event.fire()
+                event.callback(*event.args)
             finally:
                 profiler.note(event.label,
                               _time.perf_counter() - started)
@@ -483,13 +542,13 @@ class Simulator:
         spans.current = event.span
         if profiler is None:
             try:
-                event.fire()
+                event.callback(*event.args)
             finally:
                 spans.current = previous
             return
         started = _time.perf_counter()
         try:
-            event.fire()
+            event.callback(*event.args)
         finally:
             profiler.note(event.label, _time.perf_counter() - started)
             spans.current = previous
@@ -520,25 +579,22 @@ class Simulator:
         """
         heap = self._heap
         while heap:
-            event = heap[0]
+            time, seq, event = heap[0]
             handle = event.handle
             if handle is not None:
                 if event is not handle.event:
-                    heapq.heappop(heap)
+                    _heappop(heap)
                     self._cancelled -= 1
                     continue
-                if event.time != handle.deadline or event.seq != handle.seq:
-                    heapq.heappop(heap)
-                    event.time = handle.deadline
-                    event.seq = handle.seq
-                    event.span = handle.span
-                    heapq.heappush(heap, event)
+                if time != handle.deadline or seq != handle.seq:
+                    _heappop(heap)
+                    _heappush(heap, _catch_up(event, handle))
                     continue
             elif event.cancelled:
-                heapq.heappop(heap)
+                _heappop(heap)
                 self._cancelled -= 1
                 continue
-            return event.time
+            return time
         return None
 
     # ------------------------------------------------------------------

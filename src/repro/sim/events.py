@@ -1,44 +1,56 @@
 """Event primitives for the discrete-event simulation engine.
 
 The engine (:mod:`repro.sim.engine`) dispatches :class:`Event` instances in
-nondecreasing time order.  Ties are broken deterministically by a
-monotonically increasing sequence number assigned at scheduling time, so two
-runs with the same seed and the same scheduling order produce identical
-traces.
+nondecreasing time order.  Its heap holds ``(time, seq, event)`` tuples, so
+ordering is a C-level comparison of floats and ints; ``seq`` is a
+monotonically increasing sequence number assigned at scheduling time and
+unique per simulator, so ties never reach the event itself and two runs
+with the same seed and the same scheduling order produce identical traces.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 
-@dataclass(order=True)
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, seq)`` which makes them directly usable in a
-    binary heap.  The payload fields are excluded from comparison.
+    Events define no ordering: the engine keys its heap on
+    ``(time, seq)`` tuples and keeps the event as the payload.  Keyword
+    arguments are bound into ``callback`` (``functools.partial``) by the
+    engine when a caller passes any, so dispatch is ``callback(*args)``.
     """
 
-    time: float
-    seq: int
-    callback: Callable[..., Any] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    kwargs: dict = field(compare=False, default_factory=dict)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-    #: Causal span current when the event was scheduled; the engine
-    #: restores it around dispatch (telemetry only, never traced).
-    span: Optional[int] = field(compare=False, default=None)
-    #: Owning simulator while the event sits in the heap; cancellation
-    #: reports back to it so live/cancelled counts stay O(1)-exact.  The
-    #: engine disowns the event once it leaves the heap.
-    owner: Optional[Any] = field(compare=False, default=None, repr=False)
-    #: Re-armable timer handle backing this entry, or None for plain
-    #: events (see :class:`repro.sim.engine.TimerHandle`).
-    handle: Optional[Any] = field(compare=False, default=None, repr=False)
+    __slots__ = ("time", "seq", "callback", "args", "label", "cancelled",
+                 "span", "owner", "handle")
+
+    def __init__(self, time: float, seq: int,
+                 callback: Callable[..., Any], args: tuple = (),
+                 label: str = "", span: Optional[int] = None,
+                 owner: Optional[Any] = None,
+                 handle: Optional[Any] = None) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+        self.label = label
+        self.cancelled = False
+        #: Causal span current when the event was scheduled; the engine
+        #: restores it around dispatch (telemetry only, never traced).
+        self.span = span
+        #: Owning simulator while the event sits in the heap; cancellation
+        #: reports back to it so live/cancelled counts stay O(1)-exact.
+        #: The engine disowns the event once it leaves the heap.
+        self.owner = owner
+        #: Re-armable timer handle backing this entry, or None for plain
+        #: events (see :class:`repro.sim.engine.TimerHandle`).
+        self.handle = handle
+
+    def __repr__(self) -> str:
+        return (f"Event(time={self.time!r}, seq={self.seq!r}, "
+                f"label={self.label!r}, cancelled={self.cancelled!r})")
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when popped.
@@ -58,20 +70,6 @@ class Event:
     @property
     def active(self) -> bool:
         return not self.cancelled
-
-    def fire(self) -> Any:
-        """Invoke the callback.  The engine calls this; tests may too."""
-        return self.callback(*self.args, **self.kwargs)
-
-
-class EventSequencer:
-    """Produces the deterministic tie-breaking sequence numbers."""
-
-    def __init__(self) -> None:
-        self._counter = itertools.count()
-
-    def next(self) -> int:
-        return next(self._counter)
 
 
 @dataclass

@@ -8,7 +8,7 @@ Examples::
     python -m repro chaos --quick --svg chaos.svg --trace-out chaos.jsonl
     python -m repro chaos --profile transport --quick
     python -m repro all --quick --out-dir figures/ --jobs 4
-    python -m repro bench --quick --profiler-overhead
+    python -m repro bench --quick
     python -m repro report --quick --svg dashboard.svg
     python -m repro report saved-trace.jsonl --prom metrics.prom
 """
@@ -24,17 +24,9 @@ from typing import Callable, Optional
 from .analysis import (chaos_chart, figure3_chart, figure4_chart,
                        figure5_chart, figure6_chart,
                        transport_chaos_chart)
-from .experiments import (BenchResult, bench_medium, chaos,
-                          check_regression, figure3, figure4, figure5,
-                          figure6, table1, transport_chaos)
-from .experiments.bench import (BASELINE_FILENAME,
-                                ENGINE_BASELINE_FILENAME,
-                                MTP_BASELINE_FILENAME, EngineBenchResult,
-                                MtpBenchResult, OVERHEAD_FACTOR,
-                                bench_engine, bench_mtp,
-                                bench_telemetry_overhead,
-                                check_engine_regression,
-                                check_mtp_regression)
+from .experiments import (chaos, figure3, figure4, figure5, figure6,
+                          table1, transport_chaos)
+from .experiments import bench
 
 EXPERIMENTS = ("figure3", "figure4", "table1", "figure5", "figure6",
                "chaos")
@@ -45,8 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Reproduce the EnviroTrack (ICDCS 2004) evaluation: "
                     "Figures 3-6 and Table 1; check/format EnviroTrack "
-                    "programs with 'compile <file>'; run the medium "
-                    "microbenchmark with 'bench'; or render a run "
+                    "programs with 'compile <file>'; run the substrate "
+                    "microbenchmarks with 'bench'; or render a run "
                     "report with 'report'.")
     parser.add_argument("experiment",
                         choices=EXPERIMENTS + ("all", "compile", "bench",
@@ -90,32 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report: also write the metrics registry "
                              "in Prometheus text format")
     parser.add_argument("--baseline", metavar="PATH",
-                        default=BASELINE_FILENAME,
-                        help="bench: baseline JSON to compare against")
+                        default=bench.BASELINE_FILENAME,
+                        help="bench: baseline JSON to gate against")
     parser.add_argument("--update-baseline", action="store_true",
-                        help="bench: rewrite the baseline file from this "
-                             "run instead of checking against it")
-    parser.add_argument("--profiler-overhead", action="store_true",
-                        help="bench: also measure telemetry overhead "
-                             "with the profiler disabled and fail if it "
-                             f"exceeds {OVERHEAD_FACTOR:.2f}x")
-    parser.add_argument("--mtp", action="store_true",
-                        help="bench: also run the reliable-vs-raw MTP "
-                             "frame-overhead bench and gate it against "
-                             "its baseline (deterministic counts)")
-    parser.add_argument("--mtp-baseline", metavar="PATH",
-                        default=MTP_BASELINE_FILENAME,
-                        help="bench --mtp: baseline JSON to compare "
-                             "against")
-    parser.add_argument("--engine", action="store_true",
-                        help="bench: also run the event-engine "
-                             "timer-churn bench (lazy vs heap scheduler, "
-                             "digests verified equal) and gate it "
-                             "against its baseline")
-    parser.add_argument("--engine-baseline", metavar="PATH",
-                        default=ENGINE_BASELINE_FILENAME,
-                        help="bench --engine: baseline JSON to compare "
-                             "against")
+                        help="bench: merge this run's cells into the "
+                             "baseline file instead of gating against it")
     return parser
 
 
@@ -235,71 +206,42 @@ def _run_compile(args, out: Callable[[str], None]) -> int:
 
 
 def _run_bench(args, out: Callable[[str], None]) -> int:
-    """Run the medium microbench; gate on the committed baseline."""
-    result = bench_medium(quick=args.quick, trace_out=args.trace_out)
-    out(result.format_table())
+    """Run the four microbenches; gate each against the baseline."""
+    baseline = None
+    if not args.update_baseline:
+        if os.path.exists(args.baseline):
+            baseline = bench.load(args.baseline)
+        else:
+            out(f"[no baseline at {args.baseline}; run with "
+                f"--update-baseline to create one]")
+    status = 0
+    recorded = []
+    for name, run in (
+            ("medium", lambda: bench.bench_medium(
+                quick=args.quick, trace_out=args.trace_out)),
+            ("mtp", bench.bench_mtp),
+            ("engine", lambda: bench.bench_engine(quick=args.quick))):
+        cells = run()
+        out(bench.format_table(cells))
+        recorded += cells
+        if baseline is not None:
+            ok, message = bench.check(name, cells, baseline)
+            out(f"[{name} gate vs {args.baseline}: {message}]")
+            status |= not ok
     if args.trace_out:
         out(f"[wrote trace {args.trace_out}]")
-    status = 0
+    for attempt in range(bench.OVERHEAD_TRIES):
+        cells = bench.bench_telemetry_overhead()
+        out(bench.format_table(cells))
+        ok, message = bench.check("overhead", cells, [])
+        if ok or attempt == bench.OVERHEAD_TRIES - 1:
+            break
+        out(f"[overhead gate: {message}; retrying]")
+    out(f"[overhead gate: {message}]")
+    status |= not ok
     if args.update_baseline:
-        result.save(args.baseline)
+        bench.save(args.baseline, recorded)
         out(f"[wrote baseline {args.baseline}]")
-    elif not os.path.exists(args.baseline):
-        out(f"[no baseline at {args.baseline}; run with "
-            f"--update-baseline to create one]")
-    else:
-        ok, message = check_regression(result,
-                                       BenchResult.load(args.baseline))
-        out(f"[baseline {args.baseline}: {message}]")
-        status = 0 if ok else 1
-    if args.mtp:
-        mtp_result = bench_mtp()
-        out(mtp_result.format_table())
-        if args.update_baseline:
-            mtp_result.save(args.mtp_baseline)
-            out(f"[wrote baseline {args.mtp_baseline}]")
-        elif not os.path.exists(args.mtp_baseline):
-            out(f"[no baseline at {args.mtp_baseline}; run with "
-                f"--update-baseline to create one]")
-        else:
-            ok, message = check_mtp_regression(
-                mtp_result, MtpBenchResult.load(args.mtp_baseline))
-            out(f"[baseline {args.mtp_baseline}: {message}]")
-            if not ok:
-                status = 1
-    if args.engine:
-        engine_result = bench_engine(quick=args.quick)
-        out(engine_result.format_table())
-        if args.update_baseline:
-            engine_result.save(args.engine_baseline)
-            out(f"[wrote baseline {args.engine_baseline}]")
-        elif not os.path.exists(args.engine_baseline):
-            out(f"[no baseline at {args.engine_baseline}; run with "
-                f"--update-baseline to create one]")
-        else:
-            ok, message = check_engine_regression(
-                engine_result,
-                EngineBenchResult.load(args.engine_baseline))
-            out(f"[baseline {args.engine_baseline}: {message}]")
-            if not ok:
-                status = 1
-    if args.profiler_overhead:
-        # Wall-clock gate on a shared machine: retry before failing so a
-        # noisy-neighbour burst does not flag a phantom regression.
-        for attempt in range(3):
-            overhead = bench_telemetry_overhead()
-            out(overhead.format_table())
-            if overhead.within():
-                out(f"[telemetry overhead ok: {overhead.ratio:.3f}x <= "
-                    f"{OVERHEAD_FACTOR:.2f}x]")
-                break
-            if attempt < 2:
-                out(f"[telemetry overhead {overhead.ratio:.3f}x > "
-                    f"{OVERHEAD_FACTOR:.2f}x; retrying]")
-            else:
-                out(f"[TELEMETRY OVERHEAD REGRESSION: "
-                    f"{overhead.ratio:.3f}x > {OVERHEAD_FACTOR:.2f}x]")
-                status = 1
     return status
 
 

@@ -1,34 +1,47 @@
-"""Microbenchmark: grid spatial index vs brute-force medium scan.
+"""Microbenchmarks of the substrate behind the paper's §5 services.
 
-The workload is a transmit storm over a constant-density random
-deployment (field side grows with √N, so a communication disk always
-contains the same expected number of motes — the regime the grid index is
-built for).  Each storm drives the real :class:`~repro.radio.Medium`
-through its hot path — carrier sense, transmit fan-out, collision
-marking, periodic neighbor queries — once per index mode with identical
-seeds, times both, and also *checks* them against each other: the two
-runs must produce byte-identical trace digests, or the bench aborts.
-That makes every benchmark run a free differential test.
+Four benches, each on a fixed, seeded workload:
 
-``python -m repro bench`` prints the table and compares the measured
-grid-vs-bruteforce speedup against the committed ``BENCH_medium.json``
-baseline.  The regression check compares speedup **ratios**, not wall
-times, so it is stable across machines of different absolute speed.
+* ``medium`` — a transmit storm through the radio medium, grid spatial
+  index vs brute-force scan;
+* ``engine`` — watchdog kick churn (the group-management timers), lazy
+  scheduler vs the legacy cancel-and-reschedule heap;
+* ``mtp`` — reliable vs raw §5.3 transport on a clean channel with one
+  leader crash, counted in frames;
+* ``overhead`` — the medium storm with telemetry off vs on, profiler
+  disabled.
+
+Every paired run also *checks* its two modes against each other: they
+must produce byte-identical trace digests (and, for the engine, equal
+event counts), or the bench aborts.  That makes every benchmark run a
+free differential test.
+
+Each bench returns :class:`Cell` records, one per measured cell.
+``python -m repro bench`` prints them, gates them with :func:`check`
+against the committed ``BENCH.json`` and, with ``--update-baseline``,
+merges them into it with :func:`save`.  Wall-clock gates compare ratios
+(speedups), not wall times, so they hold on machines of different
+absolute speed; simulated counts are machine-independent.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import time
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from ..radio import BROADCAST, Frame, Medium, TransceiverPort, \
     reset_frame_ids
 from ..sim import (PeriodicTimer, Simulator, WatchdogTimer, dump_trace,
                    trace_digest)
+
+#: Committed baseline file name (repo root).
+BASELINE_FILENAME = "BENCH.json"
 
 #: Node counts for the full and the ``--quick`` smoke sweep.
 FULL_SIZES = (100, 250, 500)
@@ -45,85 +58,116 @@ DENSITY_SIDE_FACTOR = 5.0
 #: consecutive transmissions overlap and the collision path is exercised.
 FRAME_GAP = 0.002
 
-#: Committed baseline file name (repo root).
-BASELINE_FILENAME = "BENCH_medium.json"
+#: Engine-churn workload shape: EnviroTrack group management keeps a few
+#: watchdogs per node (receive timer, wait timer, report schedule…) and
+#: kicks them on every heartbeat, so the churn bench arms this many
+#: watchdogs per node and kicks them all each "heartbeat".
+WATCHDOGS_PER_NODE = 4
+#: Watchdog silence timeout (s); kicks land far inside it, so in heap
+#: mode nearly every scheduled expiry becomes cancelled garbage.
+WATCHDOG_TIMEOUT = 1.0
+#: Nominal kick period (s); per-node jitter of ±20% is applied so kick
+#: events interleave across nodes instead of ticking in lockstep.
+KICK_PERIOD = 0.05
+#: Fraction of nodes that go silent halfway through, letting their
+#: watchdogs actually expire (expiries are the trace content the digest
+#: check compares across schedulers).
+SILENT_FRACTION = 0.2
 
-#: A run regresses when its speedup falls below baseline/REGRESSION_FACTOR.
-REGRESSION_FACTOR = 2.0
+FULL_CHURN_DURATION = 20.0
+QUICK_CHURN_DURATION = 6.0
+
+#: The overhead gate is wall-clock on shared machines: a failing
+#: measurement is retried before it counts as a regression.
+OVERHEAD_TRIES = 3
 
 
 @dataclass(frozen=True)
-class BenchPoint:
-    """Timings of one node-count cell (identical workload per mode)."""
+class Cell:
+    """One measured cell of one bench.
 
-    nodes: int
-    frames: int
-    grid_seconds: float
-    bruteforce_seconds: float
+    ``key`` holds the workload parameters that identify the cell
+    (``nodes``, ``frames``, ``duration``, ``seed``…), ``seconds`` the
+    wall time per mode and ``counts`` simulated integers, which are
+    deterministic given the key on any machine.
+    """
+
+    bench: str
+    key: Dict[str, float]
+    seconds: Dict[str, float] = field(default_factory=dict)
+    counts: Dict[str, int] = field(default_factory=dict)
 
     @property
-    def speedup(self) -> float:
-        """How many times faster the grid index ran the same storm."""
-        if self.grid_seconds <= 0:
-            return float("inf")
-        return self.bruteforce_seconds / self.grid_seconds
+    def ratio(self) -> float:
+        """The bench's headline ratio: numerator / denominator."""
+        spec = BENCHES[self.bench]
+        values = {**self.counts, **self.seconds}
+        if values[spec.denominator] <= 0:
+            # A telemetry-off run too short to time shows no overhead.
+            return 1.0 if self.bench == "overhead" else float("inf")
+        return values[spec.numerator] / values[spec.denominator]
 
 
-@dataclass(frozen=True)
-class BenchResult:
-    """One full sweep over node counts."""
+def _ident(cell: Cell) -> Tuple[str, Tuple[Tuple[str, float], ...]]:
+    return cell.bench, tuple(sorted(cell.key.items()))
 
-    points: Tuple[BenchPoint, ...]
 
-    def point(self, nodes: int) -> BenchPoint:
-        for candidate in self.points:
-            if candidate.nodes == nodes:
-                return candidate
-        raise KeyError(nodes)
+def _find(cells: Sequence[Cell], key: Dict[str, float]) -> Optional[Cell]:
+    return next((cell for cell in cells if cell.key == key), None)
 
-    def node_counts(self) -> List[int]:
-        return sorted(point.nodes for point in self.points)
 
-    def format_table(self) -> str:
-        lines = ["Medium microbench — transmit storm, grid index vs "
-                 "brute force (same seed, digests verified equal)",
-                 f"{'nodes':>6} {'frames':>7} {'grid':>10} "
-                 f"{'bruteforce':>11} {'speedup':>8}"]
-        for point in sorted(self.points, key=lambda p: p.nodes):
-            lines.append(
-                f"{point.nodes:6d} {point.frames:7d} "
-                f"{point.grid_seconds:9.4f}s "
-                f"{point.bruteforce_seconds:10.4f}s "
-                f"{point.speedup:7.2f}x")
-        return "\n".join(lines)
+def load(path: str) -> List[Cell]:
+    """Read every cell of a baseline file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    return [Cell(bench=entry["bench"], key=entry["key"],
+                 seconds=entry["seconds"], counts=entry["counts"])
+            for entry in data["cells"]]
 
-    def to_dict(self) -> dict:
-        return {
-            "benchmark": "medium-transmit-storm",
-            "communication_radius": COMMUNICATION_RADIUS,
-            "density_side_factor": DENSITY_SIDE_FACTOR,
-            "points": [
-                {"nodes": p.nodes, "frames": p.frames,
-                 "grid_seconds": round(p.grid_seconds, 6),
-                 "bruteforce_seconds": round(p.bruteforce_seconds, 6),
-                 "speedup": round(p.speedup, 3)}
-                for p in sorted(self.points, key=lambda p: p.nodes)],
-        }
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+def save(path: str, cells: Sequence[Cell]) -> None:
+    """Merge ``cells`` into the baseline file at ``path``.
 
-    @classmethod
-    def load(cls, path: str) -> "BenchResult":
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        return cls(points=tuple(
-            BenchPoint(nodes=entry["nodes"], frames=entry["frames"],
-                       grid_seconds=entry["grid_seconds"],
-                       bruteforce_seconds=entry["bruteforce_seconds"])
-            for entry in data["points"]))
+    A cell replaces the stored cell with the same bench and key; every
+    other stored cell stays, so refreshing from a ``--quick`` run keeps
+    the full sweep's cells and their exact counts.  Each cell also
+    carries its headline ratio, for readers; :func:`load` ignores it.
+    """
+    merged = {_ident(cell): cell
+              for cell in (load(path) if os.path.exists(path) else [])}
+    merged.update((_ident(cell), cell) for cell in cells)
+    entries = []
+    for ident in sorted(merged):
+        cell = merged[ident]
+        entries.append({"bench": cell.bench, "key": cell.key,
+                        "seconds": {mode: round(seconds, 6)
+                                    for mode, seconds in cell.seconds.items()},
+                        "counts": cell.counts,
+                        BENCHES[cell.bench].label: round(cell.ratio, 3)})
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({"cells": entries}, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def format_table(cells: Sequence[Cell]) -> str:
+    """One table per bench: key, seconds per mode, counts, ratio."""
+    blocks = []
+    for bench in dict.fromkeys(cell.bench for cell in cells):
+        spec = BENCHES[bench]
+        rows = [cell for cell in cells if cell.bench == bench]
+        header = [*rows[0].key, *rows[0].seconds, *rows[0].counts,
+                  spec.label]
+        body = [[*(f"{value:g}" for value in cell.key.values()),
+                 *(f"{seconds:.4f}s" for seconds in cell.seconds.values()),
+                 *(str(count) for count in cell.counts.values()),
+                 f"{cell.ratio:.3f}x"] for cell in rows]
+        widths = [max(map(len, column)) for column in zip(header, *body)]
+        lines = [spec.title]
+        for row in (header, *body):
+            lines.append(" ".join(text.rjust(width)
+                                  for text, width in zip(row, widths)))
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks)
 
 
 def _run_storm(index: str, nodes: int, frames: int, seed: int,
@@ -168,8 +212,8 @@ def _run_storm(index: str, nodes: int, frames: int, seed: int,
 def bench_medium(quick: bool = False, seed: int = 2004,
                  sizes: Optional[Tuple[int, ...]] = None,
                  frames: Optional[int] = None,
-                 trace_out: Optional[str] = None) -> BenchResult:
-    """Run the sweep; raise if the two index modes ever diverge.
+                 trace_out: Optional[str] = None) -> List[Cell]:
+    """Run the storm sweep; raise if the two index modes ever diverge.
 
     ``trace_out`` writes the largest grid storm's trace as JSONL.
     """
@@ -177,7 +221,7 @@ def bench_medium(quick: bool = False, seed: int = 2004,
         sizes = QUICK_SIZES if quick else FULL_SIZES
     if frames is None:
         frames = QUICK_FRAMES if quick else FULL_FRAMES
-    points: List[BenchPoint] = []
+    cells: List[Cell] = []
     largest = max(sizes)
     for nodes in sizes:
         grid_seconds, grid_digest = _run_storm(
@@ -189,51 +233,15 @@ def bench_medium(quick: bool = False, seed: int = 2004,
             raise AssertionError(
                 f"index modes diverged at {nodes} nodes: grid digest "
                 f"{grid_digest[:16]}… != bruteforce {brute_digest[:16]}…")
-        points.append(BenchPoint(nodes=nodes, frames=frames,
-                                 grid_seconds=grid_seconds,
-                                 bruteforce_seconds=brute_seconds))
-    return BenchResult(points=tuple(points))
-
-
-#: Telemetry with the profiler left disabled may cost at most this
-#: factor over a telemetry-off run (the CI bench-smoke gate).
-OVERHEAD_FACTOR = 1.05
-
-
-@dataclass(frozen=True)
-class OverheadResult:
-    """Wall-time comparison of one storm with telemetry off vs on."""
-
-    nodes: int
-    frames: int
-    repeats: int
-    off_seconds: float
-    on_seconds: float
-
-    @property
-    def ratio(self) -> float:
-        """Telemetry-on time as a multiple of telemetry-off time."""
-        if self.off_seconds <= 0:
-            return 1.0
-        return self.on_seconds / self.off_seconds
-
-    def within(self, factor: float = OVERHEAD_FACTOR) -> bool:
-        return self.ratio <= factor
-
-    def format_table(self) -> str:
-        return ("Telemetry overhead — transmit storm, profiler disabled "
-                "(median interleaved off/on pair)\n"
-                f"{'nodes':>6} {'frames':>7} {'repeats':>8} "
-                f"{'telemetry off':>14} {'telemetry on':>13} "
-                f"{'ratio':>6}\n"
-                f"{self.nodes:6d} {self.frames:7d} {self.repeats:8d} "
-                f"{self.off_seconds:13.4f}s {self.on_seconds:12.4f}s "
-                f"{self.ratio:5.3f}x")
+        cells.append(Cell("medium", {"nodes": nodes, "frames": frames},
+                          seconds={"grid": grid_seconds,
+                                   "bruteforce": brute_seconds}))
+    return cells
 
 
 def bench_telemetry_overhead(nodes: int = 100, frames: int = 600,
                              seed: int = 2004,
-                             repeats: int = 7) -> OverheadResult:
+                             repeats: int = 7) -> List[Cell]:
     """Measure what telemetry costs while the profiler stays disabled.
 
     Runs the same storm with telemetry off (null registry + span
@@ -262,98 +270,12 @@ def bench_telemetry_overhead(nodes: int = 100, frames: int = 600,
             f"{off_digest[:16]}… != on {on_digest[:16]}…")
     pairs.sort(key=lambda pair: pair[1] / pair[0])
     median_off, median_on = pairs[len(pairs) // 2]
-    return OverheadResult(nodes=nodes, frames=frames, repeats=repeats,
-                          off_seconds=median_off, on_seconds=median_on)
+    return [Cell("overhead",
+                 {"nodes": nodes, "frames": frames, "repeats": repeats},
+                 seconds={"off": median_off, "on": median_on})]
 
 
-#: Committed baseline for the MTP reliability-overhead bench (repo root).
-MTP_BASELINE_FILENAME = "BENCH_mtp.json"
-
-#: The reliable run may cost at most this factor more frames than the
-#: committed baseline ratio says.  Frame counts are simulated —
-#: deterministic given (spec, seed) on every machine — so the tolerance
-#: absorbs intentional protocol tweaks between baseline refreshes, not
-#: measurement noise.
-MTP_OVERHEAD_FACTOR = 1.25
-
-
-@dataclass(frozen=True)
-class MtpBenchResult:
-    """Reliable vs raw MTP on a clean channel: frames bought per ack.
-
-    Same seed, same workload (one leader crash, zero channel loss), two
-    transport modes.  Because every count is simulated, the result is
-    byte-stable across machines; the regression gate can therefore
-    compare ratios tightly instead of allowing wall-clock slop.
-    """
-
-    seed: int
-    sent: int
-    raw_frames: int
-    reliable_frames: int
-    raw_delivered: int
-    reliable_delivered: int
-    retransmits: int
-    acks: int
-    dead_letters: int
-    duplicates: int
-
-    @property
-    def overhead(self) -> float:
-        """Reliable-mode frames as a multiple of raw-mode frames."""
-        if self.raw_frames <= 0:
-            return float("inf")
-        return self.reliable_frames / self.raw_frames
-
-    def format_table(self) -> str:
-        return ("MTP reliability bench — clean channel, one leader "
-                "crash, same seed per mode (deterministic counts)\n"
-                f"{'seed':>6} {'sent':>5} {'raw frames':>11} "
-                f"{'rel frames':>11} {'overhead':>9} {'raw deliv':>10} "
-                f"{'rel deliv':>10} {'rexmit':>7} {'acks':>5} "
-                f"{'dead':>5} {'dup':>4}\n"
-                f"{self.seed:6d} {self.sent:5d} {self.raw_frames:11d} "
-                f"{self.reliable_frames:11d} {self.overhead:8.3f}x "
-                f"{self.raw_delivered:10d} {self.reliable_delivered:10d} "
-                f"{self.retransmits:7d} {self.acks:5d} "
-                f"{self.dead_letters:5d} {self.duplicates:4d}")
-
-    def to_dict(self) -> dict:
-        return {
-            "benchmark": "mtp-reliability-overhead",
-            "seed": self.seed,
-            "sent": self.sent,
-            "raw_frames": self.raw_frames,
-            "reliable_frames": self.reliable_frames,
-            "overhead": round(self.overhead, 4),
-            "raw_delivered": self.raw_delivered,
-            "reliable_delivered": self.reliable_delivered,
-            "retransmits": self.retransmits,
-            "acks": self.acks,
-            "dead_letters": self.dead_letters,
-            "duplicates": self.duplicates,
-        }
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "MtpBenchResult":
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        return cls(seed=data["seed"], sent=data["sent"],
-                   raw_frames=data["raw_frames"],
-                   reliable_frames=data["reliable_frames"],
-                   raw_delivered=data["raw_delivered"],
-                   reliable_delivered=data["reliable_delivered"],
-                   retransmits=data["retransmits"], acks=data["acks"],
-                   dead_letters=data["dead_letters"],
-                   duplicates=data["duplicates"])
-
-
-def bench_mtp(seed: int = 2004) -> MtpBenchResult:
+def bench_mtp(seed: int = 2004) -> List[Cell]:
     """Run the paired clean-channel transport runs and count frames.
 
     The loss spike is disabled and the base loss rate is zero, so the
@@ -371,156 +293,14 @@ def bench_mtp(seed: int = 2004) -> MtpBenchResult:
         raise AssertionError(
             f"modes diverged on workload size: raw sent {raw.sent} != "
             f"reliable sent {reliable.sent}")
-    return MtpBenchResult(
-        seed=seed, sent=raw.sent,
-        raw_frames=raw.frames, reliable_frames=reliable.frames,
-        raw_delivered=raw.delivered,
-        reliable_delivered=reliable.delivered,
-        retransmits=reliable.retransmits, acks=reliable.acks,
-        dead_letters=reliable.dead_letters,
-        duplicates=reliable.duplicates)
-
-
-def check_mtp_regression(current: MtpBenchResult,
-                         baseline: MtpBenchResult,
-                         factor: float = MTP_OVERHEAD_FACTOR
-                         ) -> Tuple[bool, str]:
-    """Gate the frame overhead and the clean-channel delivery floor.
-
-    Fails when the reliable mode spends more than ``factor ×`` the
-    baseline's frame overhead, or when clean-channel reliable delivery
-    slips below the baseline's (it should stay at 100%), or when a
-    clean-channel run produces end-to-end duplicates.
-    """
-    ceiling = baseline.overhead * factor
-    message = (f"overhead {current.overhead:.3f}x vs baseline "
-               f"{baseline.overhead:.3f}x (ceiling {ceiling:.3f}x); "
-               f"delivered {current.reliable_delivered}/{current.sent}")
-    if current.overhead > ceiling:
-        return False, f"REGRESSION — {message}"
-    if current.sent and current.reliable_delivered / current.sent \
-            < baseline.reliable_delivered / max(baseline.sent, 1):
-        return False, f"DELIVERY REGRESSION — {message}"
-    if current.duplicates > baseline.duplicates:
-        return False, (f"DUPLICATE REGRESSION — {current.duplicates} "
-                       f"clean-channel duplicates (baseline "
-                       f"{baseline.duplicates}); {message}")
-    return True, f"ok — {message}"
-
-
-#: Committed baseline for the engine timer-churn bench (repo root).
-ENGINE_BASELINE_FILENAME = "BENCH_engine.json"
-
-#: A run regresses when its lazy-vs-heap speedup falls below
-#: baseline/ENGINE_REGRESSION_FACTOR.
-ENGINE_REGRESSION_FACTOR = 2.0
-
-#: Engine-churn workload shape: EnviroTrack group management keeps a few
-#: watchdogs per node (receive timer, wait timer, report schedule…) and
-#: kicks them on every heartbeat, so the churn bench arms this many
-#: watchdogs per node and kicks them all each "heartbeat".
-WATCHDOGS_PER_NODE = 4
-#: Watchdog silence timeout (s); kicks land far inside it, so in heap
-#: mode nearly every scheduled expiry becomes cancelled garbage.
-WATCHDOG_TIMEOUT = 1.0
-#: Nominal kick period (s); per-node jitter of ±20% is applied so kick
-#: events interleave across nodes instead of ticking in lockstep.
-KICK_PERIOD = 0.05
-#: Fraction of nodes that go silent halfway through, letting their
-#: watchdogs actually expire (expiries are the trace content the digest
-#: check compares across schedulers).
-SILENT_FRACTION = 0.2
-
-FULL_CHURN_DURATION = 20.0
-QUICK_CHURN_DURATION = 6.0
-
-
-@dataclass(frozen=True)
-class EngineBenchPoint:
-    """Timings of one node-count cell (identical workload per scheduler)."""
-
-    nodes: int
-    duration: float
-    lazy_seconds: float
-    heap_seconds: float
-    events_fired: int
-    expiries: int
-    compactions: int
-
-    @property
-    def speedup(self) -> float:
-        """How many times faster the lazy scheduler ran the same churn."""
-        if self.lazy_seconds <= 0:
-            return float("inf")
-        return self.heap_seconds / self.lazy_seconds
-
-
-@dataclass(frozen=True)
-class EngineBenchResult:
-    """One full engine-churn sweep over node counts."""
-
-    points: Tuple[EngineBenchPoint, ...]
-
-    def point(self, nodes: int) -> EngineBenchPoint:
-        for candidate in self.points:
-            if candidate.nodes == nodes:
-                return candidate
-        raise KeyError(nodes)
-
-    def node_counts(self) -> List[int]:
-        return sorted(point.nodes for point in self.points)
-
-    def format_table(self) -> str:
-        lines = ["Engine microbench — watchdog kick churn, lazy scheduler "
-                 "vs cancel-and-reschedule (same seed, digests verified "
-                 "equal)",
-                 f"{'nodes':>6} {'duration':>9} {'events':>8} "
-                 f"{'expiries':>9} {'lazy':>10} {'heap':>10} "
-                 f"{'speedup':>8}"]
-        for point in sorted(self.points, key=lambda p: p.nodes):
-            lines.append(
-                f"{point.nodes:6d} {point.duration:8.1f}s "
-                f"{point.events_fired:8d} {point.expiries:9d} "
-                f"{point.lazy_seconds:9.4f}s {point.heap_seconds:9.4f}s "
-                f"{point.speedup:7.2f}x")
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "benchmark": "engine-timer-churn",
-            "watchdogs_per_node": WATCHDOGS_PER_NODE,
-            "watchdog_timeout": WATCHDOG_TIMEOUT,
-            "kick_period": KICK_PERIOD,
-            "silent_fraction": SILENT_FRACTION,
-            "points": [
-                {"nodes": p.nodes, "duration": p.duration,
-                 "lazy_seconds": round(p.lazy_seconds, 6),
-                 "heap_seconds": round(p.heap_seconds, 6),
-                 "events_fired": p.events_fired,
-                 "expiries": p.expiries,
-                 "compactions": p.compactions,
-                 "speedup": round(p.speedup, 3)}
-                for p in sorted(self.points, key=lambda p: p.nodes)],
-        }
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "EngineBenchResult":
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        return cls(points=tuple(
-            EngineBenchPoint(nodes=entry["nodes"],
-                             duration=entry["duration"],
-                             lazy_seconds=entry["lazy_seconds"],
-                             heap_seconds=entry["heap_seconds"],
-                             events_fired=entry["events_fired"],
-                             expiries=entry["expiries"],
-                             compactions=entry["compactions"])
-            for entry in data["points"]))
+    return [Cell("mtp", {"seed": seed}, counts={
+        "sent": raw.sent,
+        "raw_frames": raw.frames, "reliable_frames": reliable.frames,
+        "raw_delivered": raw.delivered,
+        "reliable_delivered": reliable.delivered,
+        "retransmits": reliable.retransmits, "acks": reliable.acks,
+        "dead_letters": reliable.dead_letters,
+        "duplicates": reliable.duplicates})]
 
 
 def _run_churn(scheduler: str, nodes: int, duration: float, seed: int,
@@ -579,7 +359,7 @@ def _run_churn(scheduler: str, nodes: int, duration: float, seed: int,
 def bench_engine(quick: bool = False, seed: int = 2004,
                  sizes: Optional[Tuple[int, ...]] = None,
                  duration: Optional[float] = None,
-                 trace_out: Optional[str] = None) -> EngineBenchResult:
+                 trace_out: Optional[str] = None) -> List[Cell]:
     """Run the churn sweep; raise if the two schedulers ever diverge.
 
     ``trace_out`` writes the largest lazy run's trace as JSONL.
@@ -588,7 +368,7 @@ def bench_engine(quick: bool = False, seed: int = 2004,
         sizes = QUICK_SIZES if quick else FULL_SIZES
     if duration is None:
         duration = QUICK_CHURN_DURATION if quick else FULL_CHURN_DURATION
-    points: List[EngineBenchPoint] = []
+    cells: List[Cell] = []
     largest = max(sizes)
     for nodes in sizes:
         lazy_seconds, lazy_digest, lazy_fired, lazy_expiries, compactions = \
@@ -605,75 +385,163 @@ def bench_engine(quick: bool = False, seed: int = 2004,
                 f"schedulers diverged at {nodes} nodes: lazy fired "
                 f"{lazy_fired}/{lazy_expiries} expiries != heap "
                 f"{heap_fired}/{heap_expiries}")
-        points.append(EngineBenchPoint(
-            nodes=nodes, duration=duration, lazy_seconds=lazy_seconds,
-            heap_seconds=heap_seconds, events_fired=lazy_fired,
-            expiries=lazy_expiries, compactions=compactions))
-    return EngineBenchResult(points=tuple(points))
+        cells.append(Cell(
+            "engine", {"nodes": nodes, "duration": duration},
+            seconds={"lazy": lazy_seconds, "heap": heap_seconds},
+            counts={"events_fired": lazy_fired, "expiries": lazy_expiries,
+                    "compactions": compactions}))
+    return cells
 
 
-def check_engine_regression(current: EngineBenchResult,
-                            baseline: EngineBenchResult,
-                            factor: float = ENGINE_REGRESSION_FACTOR
-                            ) -> Tuple[bool, str]:
-    """Gate the lazy-scheduler speedup and the simulated event counts.
+Gate = Callable[[Sequence[Cell], Sequence[Cell], float], Tuple[bool, str]]
 
-    The committed baseline carries both the quick and the full sweep's
-    cells, keyed by (nodes, duration).  Wherever the current run matches
-    a baseline cell exactly, its event/expiry counts must be **equal** —
-    they are simulated quantities, so any drift means the engine's
-    semantics changed, not the machine.  The wall-clock gate compares
-    speedup **ratios** at the largest common node count
-    (machine-independent, like the medium gate).
+
+def check(bench: str, current: Sequence[Cell],
+          baseline: Sequence[Cell]) -> Tuple[bool, str]:
+    """Gate ``bench``'s cells of a run against the baseline's.
+
+    Returns ``(ok, message)``; the message starts with ``ok`` or names
+    the check that failed.
     """
-    cur = {(p.nodes, p.duration): p for p in current.points}
-    base = {(p.nodes, p.duration): p for p in baseline.points}
-    for key in sorted(set(cur) & set(base)):
-        measured, expected = cur[key], base[key]
-        if ((measured.events_fired, measured.expiries)
-                != (expected.events_fired, expected.expiries)):
-            return False, (
-                f"COUNT DRIFT — {key[0]} nodes / {key[1]:.1f}s: "
-                f"events/expiries "
-                f"{measured.events_fired}/{measured.expiries} vs baseline "
-                f"{expected.events_fired}/{expected.expiries}")
-    common = sorted(set(current.node_counts())
-                    & set(baseline.node_counts()))
-    if not common:
-        return False, "no common node counts between run and baseline"
-    nodes = common[-1]
-    measured = max((p for p in current.points if p.nodes == nodes),
-                   key=lambda p: p.duration)
-    expected = base.get((measured.nodes, measured.duration)) or max(
-        (p for p in baseline.points if p.nodes == nodes),
-        key=lambda p: p.duration)
-    floor = expected.speedup / factor
-    message = (f"{nodes} nodes: speedup {measured.speedup:.2f}x vs "
-               f"baseline {expected.speedup:.2f}x (floor {floor:.2f}x)")
-    if measured.speedup < floor:
-        return False, f"REGRESSION — {message}"
-    return True, f"ok — {message}"
+    spec = BENCHES[bench]
+    return spec.gate([cell for cell in current if cell.bench == bench],
+                     [cell for cell in baseline if cell.bench == bench],
+                     spec.factor)
 
 
-def check_regression(current: BenchResult, baseline: BenchResult,
-                     factor: float = REGRESSION_FACTOR
-                     ) -> Tuple[bool, str]:
-    """Compare against the committed baseline at the largest common size.
+def _largest(cells: Sequence[Cell], nodes: int) -> Cell:
+    return max((cell for cell in cells if cell.key["nodes"] == nodes),
+               key=_ident)
+
+
+def _gate_speedup(current: Sequence[Cell], baseline: Sequence[Cell],
+                  factor: float) -> Tuple[bool, str]:
+    """Speedup floor at the largest node count both sides cover.
 
     Passes while ``current speedup ≥ baseline speedup / factor``.  Ratios
     of ratios are machine-independent: a uniformly slower machine scales
-    both timings alike, leaving the speedup unchanged.
+    both timings alike, leaving the speedup unchanged.  The run's largest
+    cell at that node count is compared with the baseline cell of the
+    same key, or with the baseline's largest cell there if none matches.
     """
-    common = sorted(set(current.node_counts())
-                    & set(baseline.node_counts()))
+    common = ({cell.key["nodes"] for cell in current}
+              & {cell.key["nodes"] for cell in baseline})
     if not common:
         return False, "no common node counts between run and baseline"
-    nodes = common[-1]
-    measured = current.point(nodes).speedup
-    expected = baseline.point(nodes).speedup
-    floor = expected / factor
-    message = (f"{nodes} nodes: speedup {measured:.2f}x vs baseline "
-               f"{expected:.2f}x (floor {floor:.2f}x)")
-    if measured < floor:
+    nodes = max(common)
+    measured = _largest(current, nodes)
+    expected = _find(baseline, measured.key) or _largest(baseline, nodes)
+    floor = expected.ratio / factor
+    message = (f"{nodes} nodes: speedup {measured.ratio:.2f}x vs "
+               f"baseline {expected.ratio:.2f}x (floor {floor:.2f}x)")
+    if measured.ratio < floor:
         return False, f"REGRESSION — {message}"
     return True, f"ok — {message}"
+
+
+def _gate_engine(current: Sequence[Cell], baseline: Sequence[Cell],
+                 factor: float) -> Tuple[bool, str]:
+    """Exact event counts on matching cells, then the speedup floor.
+
+    Wherever the run matches a baseline cell's (nodes, duration), its
+    event and expiry counts must be **equal** — they are simulated
+    quantities, so any drift means the engine's semantics changed, not
+    the machine.  The baseline keeps both the quick and the full
+    sweep's cells, so either sweep is count-gated.
+    """
+    for cell in current:
+        expected = _find(baseline, cell.key)
+        if expected is None:
+            continue
+        got = (cell.counts["events_fired"], cell.counts["expiries"])
+        want = (expected.counts["events_fired"],
+                expected.counts["expiries"])
+        if got != want:
+            return False, (
+                f"COUNT DRIFT — {cell.key['nodes']} nodes / "
+                f"{cell.key['duration']:.1f}s: events/expiries "
+                f"{got[0]}/{got[1]} vs baseline {want[0]}/{want[1]}")
+    return _gate_speedup(current, baseline, factor)
+
+
+def _gate_mtp(current: Sequence[Cell], baseline: Sequence[Cell],
+              factor: float) -> Tuple[bool, str]:
+    """Frame-overhead ceiling, delivery floor and duplicate ceiling.
+
+    Fails when the reliable mode spends more than ``factor ×`` the
+    baseline's frame overhead, when clean-channel reliable delivery
+    slips below the baseline's (it should stay at 100%), or when a
+    clean-channel run produces more end-to-end duplicates than the
+    baseline.
+    """
+    [cell] = current
+    expected = _find(baseline, cell.key)
+    if expected is None:
+        return False, f"no baseline cell for {cell.key}"
+    run, base = cell.counts, expected.counts
+    ceiling = expected.ratio * factor
+    message = (f"overhead {cell.ratio:.3f}x vs baseline "
+               f"{expected.ratio:.3f}x (ceiling {ceiling:.3f}x); "
+               f"delivered {run['reliable_delivered']}/{run['sent']}")
+    if cell.ratio > ceiling:
+        return False, f"REGRESSION — {message}"
+    if run["sent"] and run["reliable_delivered"] / run["sent"] \
+            < base["reliable_delivered"] / max(base["sent"], 1):
+        return False, f"DELIVERY REGRESSION — {message}"
+    if run["duplicates"] > base["duplicates"]:
+        return False, (f"DUPLICATE REGRESSION — {run['duplicates']} "
+                       f"clean-channel duplicates (baseline "
+                       f"{base['duplicates']}); {message}")
+    return True, f"ok — {message}"
+
+
+def _gate_overhead(current: Sequence[Cell], baseline: Sequence[Cell],
+                   factor: float) -> Tuple[bool, str]:
+    """Median paired telemetry on/off ratio at most ``factor``."""
+    [cell] = current
+    message = f"telemetry overhead {cell.ratio:.3f}x (ceiling {factor:.2f}x)"
+    if cell.ratio > factor:
+        return False, f"REGRESSION — {message}"
+    return True, f"ok — {message}"
+
+
+class BenchSpec(NamedTuple):
+    """How one bench is shown and gated."""
+
+    title: str
+    #: Name of the headline ratio, and the mode or count names of its
+    #: numerator and denominator.
+    label: str
+    numerator: str
+    denominator: str
+    gate: Gate
+    #: The gate's tolerance (see each gate function).
+    factor: float
+
+
+BENCHES: Dict[str, BenchSpec] = {
+    # Regresses below half the baseline's grid-vs-bruteforce speedup.
+    "medium": BenchSpec(
+        "Medium microbench — transmit storm, grid index vs brute force "
+        "(same seed, digests verified equal)",
+        "speedup", "bruteforce", "grid", _gate_speedup, 2.0),
+    # Regresses below half the baseline's lazy-vs-heap speedup, or on
+    # any event-count drift.
+    "engine": BenchSpec(
+        "Engine microbench — watchdog kick churn, lazy scheduler vs "
+        "cancel-and-reschedule (same seed, digests verified equal)",
+        "speedup", "heap", "lazy", _gate_engine, 2.0),
+    # Frame counts are simulated — deterministic given (spec, seed) on
+    # every machine — so the 1.25 tolerance absorbs intentional protocol
+    # tweaks between baseline refreshes, not measurement noise.
+    "mtp": BenchSpec(
+        "MTP reliability bench — clean channel, one leader crash, same "
+        "seed per mode (deterministic counts)",
+        "overhead", "reliable_frames", "raw_frames", _gate_mtp, 1.25),
+    # Telemetry with the profiler left disabled may cost at most 5% wall
+    # time over a telemetry-off run; no baseline file involved.
+    "overhead": BenchSpec(
+        "Telemetry overhead — transmit storm, telemetry off vs on with "
+        "the profiler disabled (median interleaved pair)",
+        "ratio", "on", "off", _gate_overhead, 1.05),
+}

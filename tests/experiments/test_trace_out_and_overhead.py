@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import TankScenario, dump_scenario_trace
-from repro.experiments.bench import OVERHEAD_FACTOR, OverheadResult
+from repro.experiments.bench import BENCHES, Cell, check, format_table
 from repro.experiments.scenarios import run_tank_scenario
 from repro.sim import load_trace, trace_digest
 
@@ -65,27 +65,27 @@ class TestCliTraceOut:
         assert "handler" in output  # live runs profile the event loop
 
 
+def _overhead(off_seconds, on_seconds):
+    return [Cell("overhead", {"nodes": 100, "frames": 200, "repeats": 5},
+                 seconds={"off": off_seconds, "on": on_seconds})]
+
+
 class TestOverheadGate:
     def test_ratio_and_within(self):
-        result = OverheadResult(nodes=1, frames=1, repeats=1,
-                                off_seconds=1.0, on_seconds=1.04)
-        assert result.ratio == pytest.approx(1.04)
-        assert result.within()
-        assert not OverheadResult(nodes=1, frames=1, repeats=1,
-                                  off_seconds=1.0,
-                                  on_seconds=1.2).within()
+        [cell] = _overhead(1.0, 1.04)
+        assert cell.ratio == pytest.approx(1.04)
+        assert check("overhead", [cell], [])[0]
+        ok, message = check("overhead", _overhead(1.0, 1.2), [])
+        assert not ok and "REGRESSION" in message
 
     def test_zero_off_time_is_neutral(self):
-        result = OverheadResult(nodes=1, frames=1, repeats=1,
-                                off_seconds=0.0, on_seconds=0.5)
-        assert result.ratio == 1.0
+        [cell] = _overhead(0.0, 0.5)
+        assert cell.ratio == 1.0
 
     def test_factor_is_five_percent(self):
-        assert OVERHEAD_FACTOR == pytest.approx(1.05)
+        assert BENCHES["overhead"].factor == pytest.approx(1.05)
 
     def test_format_table_mentions_ratio(self):
-        result = OverheadResult(nodes=100, frames=200, repeats=5,
-                                off_seconds=1.0, on_seconds=1.03)
-        table = result.format_table()
+        table = format_table(_overhead(1.0, 1.03))
         assert "1.030x" in table
         assert "telemetry" in table

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.analysis import transport_chaos_chart
-from repro.experiments import (MtpBenchResult, TransportChaosSpec,
-                               check_mtp_regression, transport_chaos)
+from repro.experiments import TransportChaosSpec, transport_chaos
+from repro.experiments.bench import BENCHES, Cell, check
 
 
 def test_reliable_beats_raw_and_stays_duplicate_free():
@@ -48,27 +48,26 @@ def test_chart_renders_per_seed_delivery(tmp_path):
 
 
 def _bench(overhead_frames, delivered=16, duplicates=0):
-    return MtpBenchResult(seed=1, sent=16, raw_frames=100,
-                          reliable_frames=overhead_frames,
-                          raw_delivered=6, reliable_delivered=delivered,
-                          retransmits=3, acks=delivered,
-                          dead_letters=0, duplicates=duplicates)
+    return [Cell("mtp", {"seed": 1}, counts={
+        "sent": 16, "raw_frames": 100, "reliable_frames": overhead_frames,
+        "raw_delivered": 6, "reliable_delivered": delivered,
+        "retransmits": 3, "acks": delivered, "dead_letters": 0,
+        "duplicates": duplicates})]
 
 
 def test_mtp_gate_passes_within_factor():
-    ok, message = check_mtp_regression(_bench(240), _bench(200))
+    assert BENCHES["mtp"].factor == pytest.approx(1.25)
+    ok, message = check("mtp", _bench(240), _bench(200))
     assert ok, message
 
 
 def test_mtp_gate_fails_on_frame_bloat():
-    ok, message = check_mtp_regression(_bench(260), _bench(200))
+    ok, message = check("mtp", _bench(260), _bench(200))
     assert not ok and "REGRESSION" in message
 
 
 def test_mtp_gate_fails_on_delivery_or_duplicate_slip():
-    ok, message = check_mtp_regression(_bench(200, delivered=14),
-                                       _bench(200))
+    ok, message = check("mtp", _bench(200, delivered=14), _bench(200))
     assert not ok and "DELIVERY" in message
-    ok, message = check_mtp_regression(_bench(200, duplicates=1),
-                                       _bench(200))
+    ok, message = check("mtp", _bench(200, duplicates=1), _bench(200))
     assert not ok and "DUPLICATE" in message

@@ -25,6 +25,26 @@ Position = Tuple[float, float]
 FrameHandler = Callable[[Frame], None]
 
 
+class _SpanNames(dict):
+    """``<prefix>.<kind>`` span names, formatted once per frame kind.
+
+    A process-wide memo of a pure function over the protocol's fixed set
+    of frame kinds: it holds one string per kind and no run state.
+    """
+
+    def __init__(self, prefix: str) -> None:
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, kind: str) -> str:
+        name = self[kind] = f"{self.prefix}.{kind}"
+        return name
+
+
+_FRAME_SPAN = _SpanNames("frame")
+_HANDLE_SPAN = _SpanNames("handle")
+
+
 class Mote:
     """One simulated sensor node.
 
@@ -131,11 +151,15 @@ class Mote:
         # backoff and the medium's delivery events inherit it through the
         # engine's span capture, so receptions chain to this send.
         spans = self.sim.spans
-        span_id = spans.start(f"frame.{frame.kind}", node=self.node_id)
+        span_id = spans.start(_FRAME_SPAN[frame.kind], node=self.node_id)
         frame.span_id = span_id
         spans.note_frame(span_id, frame.frame_id)
-        with spans.activate(span_id):
+        previous = spans.current
+        spans.current = span_id
+        try:
             self.mac.send(frame)
+        finally:
+            spans.current = previous
         spans.finish(span_id)
 
     def _on_physical_receive(self, frame: Frame) -> None:
@@ -153,14 +177,24 @@ class Mote:
         if not self.alive:
             return
         self.frames_delivered += 1
+        handlers = self._handlers.get(frame.kind)
+        if not handlers:
+            return
         spans = self.sim.spans
-        for handler in self._handlers.get(frame.kind, []):
+        name = _HANDLE_SPAN[frame.kind]
+        for handler in handlers:
             # Each handler runs in its own span under the frame that
             # triggered it, so replies sent inside become grandchildren
             # of the original send.
-            with spans.span(f"handle.{frame.kind}", node=self.node_id,
-                            parent=frame.span_id):
+            span_id = spans.start(name, node=self.node_id,
+                                  parent=frame.span_id)
+            previous = spans.current
+            spans.current = span_id
+            try:
                 handler(frame)
+            finally:
+                spans.current = previous
+                spans.finish(span_id)
 
     # ------------------------------------------------------------------
     # Timers (handlers run as CPU tasks)

@@ -71,11 +71,11 @@ class RunReport:
         spans = sim.spans
         if getattr(spans, "enabled", False):
             names: Dict[str, int] = {}
-            for record in spans.spans():
-                key = record.name.split(".", 1)[0]
-                names[key] = names.get(key, 0) + 1
+            for name, count in spans.name_counts().items():
+                key = name.split(".", 1)[0]
+                names[key] = names.get(key, 0) + count
             report.span_count = len(spans)
-            report.span_root_count = len(spans.roots())
+            report.span_root_count = spans.root_count()
             report.span_top_names = sorted(
                 names.items(), key=lambda item: (-item[1], item[0]))[:8]
         return report

@@ -7,6 +7,7 @@ Examples::
     python -m repro figure5 --quick
     python -m repro chaos --quick --svg chaos.svg --trace-out chaos.jsonl
     python -m repro chaos --profile transport --quick
+    python -m repro ablation --jobs 2
     python -m repro all --quick --out-dir figures/ --jobs 4
     python -m repro bench --quick
     python -m repro report --quick --svg dashboard.svg
@@ -24,19 +25,20 @@ from typing import Callable, Optional
 from .analysis import (chaos_chart, figure3_chart, figure4_chart,
                        figure5_chart, figure6_chart,
                        transport_chaos_chart)
-from .experiments import (chaos, figure3, figure4, figure5, figure6,
-                          table1, transport_chaos)
+from .experiments import (ablations, chaos, figure3, figure4, figure5,
+                          figure6, table1, transport_chaos)
 from .experiments import bench
 
 EXPERIMENTS = ("figure3", "figure4", "table1", "figure5", "figure6",
-               "chaos")
+               "chaos", "ablation")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce the EnviroTrack (ICDCS 2004) evaluation: "
-                    "Figures 3-6 and Table 1; check/format EnviroTrack "
+                    "Figures 3-6, Table 1 and the group-management "
+                    "ablations; check/format EnviroTrack "
                     "programs with 'compile <file>'; run the substrate "
                     "microbenchmarks with 'bench'; or render a run "
                     "report with 'report'.")
@@ -153,6 +155,10 @@ def _run_chaos(args, trace_out: Optional[str]) -> tuple:
     return result, chaos_chart(result)
 
 
+def _run_ablation(args, trace_out: Optional[str]) -> tuple:
+    return ablations(**_sweep_kwargs(args, trace_out)), None
+
+
 RUNNERS: dict = {
     "figure3": _run_figure3,
     "figure4": _run_figure4,
@@ -160,6 +166,7 @@ RUNNERS: dict = {
     "figure5": _run_figure5,
     "figure6": _run_figure6,
     "chaos": _run_chaos,
+    "ablation": _run_ablation,
 }
 
 
@@ -301,7 +308,7 @@ def main(argv=None, out: Callable[[str], None] = print) -> int:
             os.makedirs(out_dir, exist_ok=True)
         for name in EXPERIMENTS:
             svg_path = (os.path.join(out_dir, f"{name}.svg")
-                        if out_dir and name != "table1" else None)
+                        if out_dir else None)
             trace_path = None
             if args.trace_out:
                 if out_dir:

@@ -1,5 +1,6 @@
 """Evaluation reproduction: scenarios and per-figure entry points."""
 
+from .ablations import AblationResult, ablations
 from .chaos import ChaosPoint, ChaosResult, chaos
 from .transport_chaos import (TransportChaosResult, TransportChaosSpec,
                               TransportOutcome, transport_chaos)
@@ -18,6 +19,7 @@ from .sizing import (DeploymentPlan, grid_spacing_for_coverage,
                      seconds_per_hop)
 
 __all__ = [
+    "AblationResult",
     "ChaosPoint",
     "ChaosResult",
     "DeploymentPlan",
@@ -34,6 +36,7 @@ __all__ = [
     "TransportChaosResult",
     "TransportChaosSpec",
     "TransportOutcome",
+    "ablations",
     "build_app",
     "build_tracker_definition",
     "chaos",

@@ -12,8 +12,10 @@ One function per piece of the paper's evaluation (§6):
   sizes, relinquish optimization on).
 
 Each returns a structured result with a ``format_table()`` renderer that
-prints the same rows/series the paper reports.  The benchmarks call these
-functions; ``quick=True`` shrinks sweeps for smoke-testing.
+prints the same rows/series the paper reports.  ``repro <experiment>``
+calls these functions, and ``tests/experiments/test_paper_shapes.py``
+asserts the paper's claims on their results; ``quick=True`` shrinks
+sweeps for smoke-testing.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from ..metrics import (CommunicationMetrics, SpeedSearchResult,
                        TrajectoryComparison, max_trackable_speed,
                        mean_metrics)
 from ..sim import dump_trace
-from .runner import dump_scenario_trace, parallel_map, run_scenarios
+from .runner import (dump_scenario_trace, handover_success_pct,
+                     parallel_map, run_scenarios)
 from .scenarios import (SPEED_33_KMH, SPEED_50_KMH, TankRunResult,
                         TankScenario, run_tank_scenario)
 
@@ -202,6 +205,7 @@ def figure4(repetitions: int = 3, seed_base: int = 40,
     cell_keys = []
     for speed, kmh in grid:
         for propagate in (False, True):
+            cell_keys.append((kmh, propagate))
             reach = sensing_radius + (1.0 if propagate else 0.0)
             for rep in range(repetitions):
                 # member_rebroadcast off isolates heartbeat *reach*: with
@@ -221,25 +225,15 @@ def figure4(repetitions: int = 3, seed_base: int = 40,
                     base_loss_rate=0.03,
                     with_base_station=False,
                     seed=seed_base + 100 * kmh + rep))
-                cell_keys.append((kmh, propagate))
     outcomes = run_scenarios(scenarios, jobs=jobs)
     if trace_out:
         dump_scenario_trace(scenarios[0], trace_out)
-    tallies: Dict[Tuple[int, bool], List[int]] = {}
-    for key, outcome in zip(cell_keys, outcomes):
-        tally = tallies.setdefault(key, [0, 0])
-        tally[0] += outcome.successful_handovers
-        tally[1] += outcome.failed_handovers
-    cells = []
-    for speed, kmh in grid:
-        for propagate in (False, True):
-            successes, failures = tallies[(kmh, propagate)]
-            total = successes + failures
-            pct = 100.0 * successes / total if total else 0.0
-            cells.append(Figure4Cell(
-                speed_kmh=kmh, propagate_past_sensing_radius=propagate,
-                success_pct=pct, runs=repetitions))
-    return Figure4Result(cells=cells)
+    return Figure4Result(cells=[
+        Figure4Cell(speed_kmh=kmh, propagate_past_sensing_radius=propagate,
+                    success_pct=handover_success_pct(
+                        outcomes[i * repetitions:(i + 1) * repetitions]),
+                    runs=repetitions)
+        for i, (kmh, propagate) in enumerate(cell_keys)])
 
 
 # ----------------------------------------------------------------------

@@ -48,6 +48,8 @@ class ScenarioOutcome:
     failed_handovers: int
     labels_created: int
     effective_labels: int
+    takeovers: int
+    suppressions: int
     coherent: bool
     coverage: float
     communication: CommunicationMetrics
@@ -62,11 +64,21 @@ def reduce_run(run: TankRunResult) -> ScenarioOutcome:
         failed_handovers=run.handovers.failed_handovers,
         labels_created=run.handovers.labels_created,
         effective_labels=len(run.handovers.effective_labels()),
+        takeovers=run.handovers.takeovers,
+        suppressions=run.handovers.suppressions,
         coherent=run.coherent,
         coverage=run.coverage,
         communication=run.communication,
         trace_digest=trace_digest(run.app.sim),
     )
+
+
+def handover_success_pct(outcomes: Sequence[ScenarioOutcome]) -> float:
+    """Percent of handovers that preserved the label, pooled over runs
+    (0 when none happened)."""
+    successes = sum(o.successful_handovers for o in outcomes)
+    total = successes + sum(o.failed_handovers for o in outcomes)
+    return 100.0 * successes / total if total else 0.0
 
 
 def run_scenario_outcome(scenario: TankScenario) -> ScenarioOutcome:

@@ -35,8 +35,8 @@ SPEED_33_KMH = 1.0 / 15.0
 class TankScenario:
     """Parameters of one tank-tracking run.
 
-    Defaults reproduce the §6.1 case study; the stress benches override
-    speed, heartbeat period, radii and the relinquish/takeover mode.
+    Defaults reproduce the §6.1 case study; the stress experiments and
+    ablations override speed, radii and the group-management knobs.
     """
 
     columns: int = 12
@@ -49,6 +49,11 @@ class TankScenario:
     relinquish: bool = True
     member_rebroadcast: bool = True
     flood_hops: int = 0
+    #: Receive/wait timeouts in heartbeat periods (§6.2), and weight-based
+    #: duplicate-label suppression (§5.2; off = zero suppression range).
+    receive_ratio: float = GroupConfig.receive_ratio
+    wait_ratio: float = GroupConfig.wait_ratio
+    weight_suppression: bool = True
     base_loss_rate: float = 0.05
     #: Soft reception edge (see repro.radio.Medium); 1.0/0.0 = sharp disk.
     soft_edge_start: float = 1.0
@@ -143,7 +148,10 @@ def build_tracker_definition(scenario: TankScenario) -> ContextTypeDef:
         relinquish=scenario.relinquish,
         member_rebroadcast=scenario.member_rebroadcast,
         flood_hops=scenario.flood_hops,
-        suppression_range=2.0 * scenario.sensing_radius + 0.5,
+        receive_ratio=scenario.receive_ratio,
+        wait_ratio=scenario.wait_ratio,
+        suppression_range=(2.0 * scenario.sensing_radius + 0.5
+                           if scenario.weight_suppression else 0.0),
     )
     return ContextTypeDef(
         name="tracker",

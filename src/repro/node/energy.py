@@ -4,7 +4,7 @@ The paper's motivation is battery-powered disposable motes, and its design
 choices (heartbeat rate, relinquish vs takeover, flooding) trade tracking
 responsiveness against communication — i.e., against energy.  This
 extension meters each mote's radio and CPU energy so those trade-offs can
-be quantified (see ``benchmarks/bench_ablation_energy.py``).
+be quantified (Ablation D of ``repro ablation``).
 
 The cost model follows the MICA mote's published current draws (ATmega103
 + TR1000 at 3 V, rounded):

@@ -4,6 +4,7 @@ import xml.dom.minidom
 
 import pytest
 
+from repro import cli
 from repro.analysis import BarChart, LineChart
 from repro.analysis.render import (figure3_chart, figure4_chart,
                                    figure5_chart, figure6_chart)
@@ -134,3 +135,39 @@ class TestCli:
         lines = []
         assert main(["table1", "--quick"], out=lines.append) == 0
         assert any("Table 1" in line for line in lines)
+
+    def test_ablation_has_no_chart(self, monkeypatch, tmp_path):
+        calls = []
+
+        class Result:
+            def format_table(self):
+                return "ablation tables"
+
+        def ablations(**kwargs):
+            calls.append(kwargs)
+            return Result()
+
+        monkeypatch.setattr(cli, "ablations", ablations)
+        lines = []
+        svg_path = tmp_path / "ablation.svg"
+        assert main(["ablation", "--quick", "--seed", "7", "--svg",
+                     str(svg_path)], out=lines.append) == 0
+        assert calls == [{"quick": True, "jobs": 1, "trace_out": None,
+                          "seed_base": 7}]
+        assert "[ablation has no chart rendering; SVG skipped]" in lines
+        assert not svg_path.exists()
+
+    def test_all_lets_the_runner_decide_on_svg(self, monkeypatch, tmp_path):
+        class Result:
+            def format_table(self):
+                return ""
+
+        for name in cli.RUNNERS:
+            monkeypatch.setitem(cli.RUNNERS, name,
+                                lambda args, trace_out: (Result(), None))
+        lines = []
+        assert main(["all", "--quick", "--out-dir", str(tmp_path)],
+                    out=lines.append) == 0
+        skipped = [line for line in lines if "SVG skipped" in line]
+        assert len(skipped) == len(cli.EXPERIMENTS)
+        assert "ablation" in cli.EXPERIMENTS

@@ -1,7 +1,8 @@
 """Smoke tests for the per-figure entry points (quick mode).
 
-The full sweeps run in ``benchmarks/``; these tests only verify the entry
-points produce well-formed results and renderable tables at quick scale.
+What the figures should show is asserted in ``test_paper_shapes.py``;
+these tests only verify the entry points produce well-formed results and
+renderable tables at quick scale.
 """
 
 from repro.experiments import figure3, figure4, figure6, table1

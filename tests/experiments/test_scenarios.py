@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import (SPEED_33_KMH, SPEED_50_KMH, TankScenario,
                                build_app, build_tracker_definition,
                                run_tank_scenario)
+from repro.groups import GroupConfig
 
 
 class TestScenarioGeometry:
@@ -52,13 +53,26 @@ class TestBuildApp:
 
     def test_tracker_definition_matches_scenario(self):
         scenario = TankScenario(heartbeat_period=0.25, confidence=3,
-                                freshness=2.0, relinquish=False)
+                                freshness=2.0, relinquish=False,
+                                receive_ratio=1.2, wait_ratio=8.0,
+                                weight_suppression=False)
         definition = build_tracker_definition(scenario)
         assert definition.group.heartbeat_period == 0.25
         assert not definition.group.relinquish
+        assert definition.group.receive_ratio == 1.2
+        assert definition.group.wait_ratio == 8.0
+        assert definition.group.suppression_range == 0.0
         spec = definition.aggregate("location")
         assert spec.confidence == 3
         assert spec.freshness == 2.0
+
+    def test_default_scenario_keeps_group_defaults(self):
+        scenario = TankScenario()
+        group = build_tracker_definition(scenario).group
+        assert group.receive_ratio == GroupConfig.receive_ratio
+        assert group.wait_ratio == GroupConfig.wait_ratio
+        assert group.suppression_range == 2.0 * scenario.sensing_radius + 0.5
+        assert group == GroupConfig()
 
 
 class TestRunResult:
